@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: ci fmt build test vet lint lint-baseline fuzz race chaos bench bench-shards trace-smoke
+.PHONY: ci fmt build test vet lint lint-baseline fuzz race stress chaos bench trace-smoke
 
 # ci is the tier-1 gate: everything here must pass before a change lands.
-ci: fmt vet lint build test trace-smoke fuzz race chaos
+ci: fmt vet lint build test trace-smoke fuzz race stress chaos
 
 # Linter fixtures under internal/lint/testdata deliberately contain
 # rule-violating code; they are exercised by the linter's own tests, not
@@ -15,11 +15,11 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# lint runs ioverlayvet, the repo's own invariant linter — ten checks on
+# lint runs ioverlayvet, the repo's own invariant linter — nine checks on
 # the whole-program call graph: algorithm purity, control-lane
 # discipline, lock discipline and lock ordering, hot-path hygiene,
-# shard-local ownership, observer-sync rules, admission non-blocking
-# rules, atomic-field consistency, and goroutine lifecycle accounting.
+# observer-sync rules, admission non-blocking rules, atomic-field
+# consistency, and goroutine lifecycle accounting.
 # Non-baselined findings (and stale baseline entries) are build breaks;
 # per-check timings go to stderr.
 lint:
@@ -56,6 +56,15 @@ fuzz:
 race:
 	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet
 
+# stress reruns the race and invariant gates at several core counts, so a
+# single-core host cannot hide a concurrency bug: -cpu sets GOMAXPROCS for
+# each pass. With the default STRESS_COUNT=3 it took 219-225 s on a 2-core
+# x86-64 host (Go 1.24).
+STRESS_COUNT ?= 3
+stress:
+	$(GO) test -race -tags ioverlay_debug -cpu 1,2,4 -count=$(STRESS_COUNT) \
+		./internal/engine ./internal/vnet ./internal/queue
+
 # The fault-injection soaks: a seeded chaos schedule (kills, restarts,
 # partitions, flaky links) against a live 16-node multicast session,
 # ending with a saturated round — interior kills while every receiver
@@ -77,11 +86,3 @@ trace-smoke:
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
-
-# bench-shards sweeps the sharded switch across core counts (each -cpu
-# value sets GOMAXPROCS and thus the engine's lane count) and folds the
-# per-point results into BENCH_shards.json, the machine-readable perf
-# trajectory tracked across PRs.
-bench-shards:
-	IOVERLAY_BENCH_JSON=$(CURDIR)/BENCH_shards.json \
-		$(GO) test -run=^$$ -bench='^BenchmarkFig5Shards$$' -benchtime=2x -cpu 1,2,4,8 .

@@ -20,7 +20,6 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,13 +101,6 @@ type Config struct {
 	// SwitchBudget bounds data messages processed per switch pass so
 	// control messages stay responsive under heavy data load.
 	SwitchBudget int
-	// Shards splits the switch into that many per-core lanes: receiver
-	// and sender links are hashed to an owner shard, each shard runs its
-	// own stride scheduler, and cross-shard flows ride bounded lock-free
-	// MPSC handoff rings. Algorithm.Process stays serialized on the
-	// designated algorithm shard regardless. Zero selects GOMAXPROCS;
-	// 1 restores the single-goroutine switch.
-	Shards int
 	// BatchSize bounds how many message references move per ring operation
 	// across the data path: the receiver's decoded-message push, the
 	// switch's per-quantum drain, the sender's buffer drain, and unlimited
@@ -220,9 +212,6 @@ func (c *Config) applyDefaults() {
 	if c.SwitchBudget <= 0 {
 		c.SwitchBudget = DefaultSwitchBudget
 	}
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = DefaultBatchSize
 	}
@@ -317,11 +306,9 @@ type Engine struct {
 	shedding atomic.Bool
 	// heldBytes gauges the wire bytes popped off a ring but not yet
 	// disposed of: a batch riding a stride quantum, or a sender's write
-	// batch draining through a shaped link (which can take seconds). With
-	// one switch goroutine that window hid at most one batch from the
-	// budget; with N lanes plus per-sender write batches it hides many,
-	// enough to push the peak past the budget — so admission sums
-	// bufBytes and heldBytes.
+	// batch draining through a shaped link (which can take seconds). Every
+	// sender holds such a batch, enough together to push the peak past the
+	// budget — so admission sums bufBytes and heldBytes.
 	heldBytes metrics.Gauge
 	// reserved gauges admission grants not yet landed on bufBytes: an
 	// admitter reserves its batch before pushing and releases after the
@@ -334,14 +321,20 @@ type Engine struct {
 	// Safe from any goroutine.
 	rec *trace.Recorder
 
-	// shards are the switch lanes; shards[0] is the algorithm shard (the
-	// engine goroutine). Per-lane scheduler state, parked backlogs, batch
-	// buffers and queue-delay histograms all live there — see shard.go.
-	shards []*shard
+	// Queue-delay and batch-size distributions, shipped with each status
+	// report. All observe lock-free; safe from any goroutine.
+	ctrlDelayHist   metrics.Histogram // sender ctrl-lane queueing delay (ns)
+	dataDelayHist   metrics.Histogram // sender data-lane queueing delay (ns)
+	switchBatchHist metrics.Histogram // messages per switch quantum
+	sendBatchHist   metrics.Histogram // messages per sender ring drain
+	// switched counts messages the switch has moved; parkedLen mirrors
+	// len(parked). Both are read by Snapshot from any goroutine.
+	switched  metrics.Gauge
+	parkedLen metrics.Gauge
 
-	// debugGID records the algorithm-shard goroutine's ID in
-	// ioverlay_debug builds so algorithm upcalls can assert
-	// single-threaded ownership; zero (never set) in release builds.
+	// debugGID records the engine goroutine's ID in ioverlay_debug builds
+	// so algorithm upcalls can assert single-threaded ownership; zero
+	// (never set) in release builds.
 	debugGID int64
 
 	localRing *queue.Ring // source-injected data, drained like a receiver
@@ -370,10 +363,20 @@ type Engine struct {
 	// never synchronize otherwise.
 	obsBusyHint atomic.Int64
 
-	// Engine-goroutine-only state (the algorithm shard's goroutine).
-	pingSent  map[uint32]time.Time
-	probeRecv map[probeKey]*probeAgg
-	nextToken uint32
+	// Engine-goroutine-only state.
+	// lastDest/lastSender cache the most recent Send destination's link:
+	// overlay nodes forward overwhelmingly to the same few peers, so this
+	// skips the sender-map mutex on the hot path. Invalidated when the
+	// cached sender is torn down.
+	lastDest     message.NodeID
+	lastSender   *sender
+	parked       []parkedMsg
+	parkedByDest map[message.NodeID]int
+	localPass    float64        // stride virtual time of the local source ring
+	switchBuf    []*message.Msg // scratch for per-quantum batched pops
+	pingSent     map[uint32]time.Time
+	probeRecv    map[probeKey]*probeAgg
+	nextToken    uint32
 	// sentApps tracks which apps have been forwarded toward which
 	// destination, for BrokenSource cascades.
 	sentApps     map[message.NodeID]map[uint32]struct{}
@@ -381,6 +384,7 @@ type Engine struct {
 
 	control chan ctrlMsg
 	events  chan func()
+	work    chan struct{}
 	done    chan struct{}
 	started bool
 	wg      sync.WaitGroup
@@ -411,25 +415,24 @@ func New(cfg Config) (*Engine, error) {
 		}
 	}
 	e := &Engine{
-		cfg:       cfg,
-		id:        cfg.ID,
-		alg:       cfg.Algorithm,
-		pool:      message.NewPool(),
-		budget:    bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
-		receivers: make(map[message.NodeID]*receiver),
-		senders:   make(map[message.NodeID]*sender),
-		linkRates: make(map[message.NodeID]int64),
-		localRing: queue.New(cfg.RecvBuf),
-		localApps: make(map[uint32]*source),
-		pingSent:  make(map[uint32]time.Time),
-		sentApps:  make(map[message.NodeID]map[uint32]struct{}),
-		control:   make(chan ctrlMsg, 1024),
-		events:    make(chan func(), 4096),
-		done:      make(chan struct{}),
-	}
-	e.shards = make([]*shard, cfg.Shards)
-	for i := range e.shards {
-		e.shards[i] = newShard(e, i)
+		cfg:          cfg,
+		id:           cfg.ID,
+		alg:          cfg.Algorithm,
+		pool:         message.NewPool(),
+		budget:       bandwidth.NewNodeBudget(cfg.TotalBW, cfg.UpBW, cfg.DownBW),
+		receivers:    make(map[message.NodeID]*receiver),
+		senders:      make(map[message.NodeID]*sender),
+		linkRates:    make(map[message.NodeID]int64),
+		localRing:    queue.New(cfg.RecvBuf),
+		localApps:    make(map[uint32]*source),
+		parkedByDest: make(map[message.NodeID]int),
+		switchBuf:    make([]*message.Msg, cfg.BatchSize),
+		pingSent:     make(map[uint32]time.Time),
+		sentApps:     make(map[message.NodeID]map[uint32]struct{}),
+		control:      make(chan ctrlMsg, 1024),
+		events:       make(chan func(), 4096),
+		work:         make(chan struct{}, 1),
+		done:         make(chan struct{}),
 	}
 	e.localRing.SetGauge(&e.bufBytes)
 	e.localRing.SetHeldGauge(&e.heldBytes)
@@ -486,7 +489,7 @@ const slowPeerStrikes = 3
 // admitBudget grants or refuses the admission of n more buffered bytes,
 // latching hysteresis at the watermarks: shedding engages when buffered
 // bytes would cross 3/4 of the budget and stays on until they fall to
-// 1/2. Safe from any goroutine — receiver, source and shard goroutines
+// 1/2. Safe from any goroutine — receiver, source and sender goroutines
 // all admit concurrently, so the grant itself is a compare-and-swap on
 // the reservation gauge: an admitter that wins the CAS owns n bytes of
 // headroom before its push lands on bufBytes (released afterward with
@@ -720,10 +723,6 @@ func (e *Engine) Start() error {
 		e.wg.Add(1)
 		go e.runDgramReader(e.pconn)
 	}
-	for _, sh := range e.shards[1:] {
-		e.wg.Add(1)
-		go sh.run()
-	}
 	e.started = true
 
 	if !e.cfg.Observer.IsZero() {
@@ -918,11 +917,6 @@ func (e *Engine) drainedForDeparture() bool {
 	if e.obs != nil && e.obs.ring.Len() > 0 {
 		return false
 	}
-	for _, sh := range e.shards {
-		if sh.inboxDepth.Load() > 0 {
-			return false
-		}
-	}
 	return true
 }
 
@@ -993,11 +987,9 @@ func (e *Engine) Stop() {
 	}
 	e.budget.Close()
 	e.wg.Wait()
-	// Release anything still parked, pending or in a handoff ring. Every
-	// shard goroutine has exited, so the shard-local state is quiescent.
-	for _, sh := range e.shards {
-		sh.drainForStop()
-	}
+	// Release anything still parked; the engine goroutine has exited, so
+	// the parked backlog is quiescent.
+	e.releaseParked()
 	for _, s := range senders {
 		s.ring.Drain()
 	}
@@ -1016,22 +1008,19 @@ func (e *Engine) Stop() {
 		invariant.Assert(e.bufBytes.Load() == 0,
 			"buffered-bytes gauge %d after Stop drained everything", e.bufBytes.Load())
 		invariant.Assert(e.heldBytes.Load() == 0,
-			"switch-held gauge %d after every shard goroutine exited", e.heldBytes.Load())
+			"switch-held gauge %d after every goroutine exited", e.heldBytes.Load())
 		invariant.Assert(e.reserved.Load() == 0,
 			"budget reservation gauge %d after every admitter exited", e.reserved.Load())
 	}
 }
 
-// run is the engine goroutine — the algorithm shard: the Go analogue of
-// the paper's engine thread, multiplexing control messages, internal
-// events, switch work and periodic measurement. Every Algorithm.Process
-// call happens here, whichever shard's scheduler popped the message.
+// run is the engine goroutine — the Go analogue of the paper's engine
+// thread, multiplexing control messages, internal events, switch work and
+// periodic measurement. Every Algorithm.Process call happens here.
 func (e *Engine) run() {
 	defer e.wg.Done()
-	sh := e.shards[0]
 	if invariant.Enabled {
 		e.debugGID = invariant.GoroutineID()
-		sh.debugGID = e.debugGID
 	}
 	ticker := time.NewTicker(e.cfg.StatusInterval)
 	defer ticker.Stop()
@@ -1041,13 +1030,13 @@ func (e *Engine) run() {
 			e.process(cm)
 		case fn := <-e.events:
 			fn()
-		case <-sh.work:
+		case <-e.work:
 			// Control before data: a work signal competes fairly with the
 			// control channel in this select, so under saturation a pure
 			// select would serve data half the time. Draining pending
 			// control first keeps failure notifications ahead of payload.
 			e.drainControl()
-			sh.runPass()
+			e.switchOnce()
 		case <-ticker.C:
 			e.periodic()
 		case <-e.done:
@@ -1080,9 +1069,6 @@ func (e *Engine) drainControl() {
 func (e *Engine) Do(fn func(api API)) {
 	e.postEvent(func() { fn(e) })
 }
-
-// signalWork nudges the algorithm shard to run the switch.
-func (e *Engine) signalWork() { e.shards[0].signal() }
 
 // postEvent schedules fn on the engine goroutine; events are dropped only
 // during shutdown.
@@ -1121,8 +1107,7 @@ func (e *Engine) notifyAlg(typ message.Type, app uint32, payload []byte) {
 }
 
 // ----- the switch -----
-// The switch itself is sharded: scheduling, parked retries and handoff
-// draining live on the per-shard methods in shard.go.
+// Scheduling, parking and parked retries live in switch.go.
 
 func (e *Engine) senderLocked(peer message.NodeID) *sender {
 	e.mu.Lock()
@@ -1140,9 +1125,7 @@ func (e *Engine) hasSender(peer message.NodeID) bool {
 // ----- sending -----
 
 // Send forwards m to dest, retaining a reference for the transfer. Part
-// of the API interface; must be called from the engine goroutine (the
-// algorithm shard). Destinations owned by another shard are handed off
-// through that shard's MPSC inbox — see shard.send.
+// of the API interface; must be called from the engine goroutine.
 func (e *Engine) Send(m *message.Msg, dest message.NodeID) {
 	if dest == e.id {
 		return // self-sends are meaningless in the overlay
@@ -1155,7 +1138,10 @@ func (e *Engine) Send(m *message.Msg, dest message.NodeID) {
 		e.sendToObserver(m)
 		return
 	}
-	e.shards[0].send(m, dest)
+	if m.IsData() {
+		e.noteSentApp(dest, m.App())
+	}
+	e.deliverOut(m, dest)
 }
 
 // SendNew sends an algorithm-constructed message to each destination and
@@ -1205,10 +1191,7 @@ func (e *Engine) ensureSender(peer message.NodeID) *sender {
 	}
 	rate := e.linkRates[peer]
 	s := newSender(peer, e.cfg.SendBuf, rate, &e.bufBytes, &e.heldBytes)
-	// Sender rings feed their owner shard's per-lane delay distributions;
-	// the report ships the shards' histograms merged, one per lane.
-	s.sh = e.shardFor(peer)
-	s.ring.SetDelayHists(&s.sh.ctrlDelayHist, &s.sh.dataDelayHist)
+	s.ring.SetDelayHists(&e.ctrlDelayHist, &e.dataDelayHist)
 	e.senders[peer] = s
 	e.wg.Add(1)
 	go e.runSender(s)
@@ -1234,16 +1217,7 @@ func (e *Engine) receiverGone(r *receiver) {
 	}
 	_ = r.conn.Close()
 	r.ring.Close()
-	for {
-		m, ok := r.ring.TryPop()
-		if !ok {
-			break
-		}
-		wl := int64(m.WireLen())
-		e.counters.AddDropped(wl)
-		m.Release()
-		e.heldBytes.Add(-wl) // settle the pop's held-gauge transfer
-	}
+	e.dropQueued(r.ring)
 	e.rec.Emit(trace.KindLinkDown, r.peer, 0, 1)
 	e.notifyAlg(protocol.TypeLinkDown, 0,
 		protocol.LinkEvent{Peer: r.peer, Upstream: true}.Encode())
@@ -1280,7 +1254,6 @@ func (e *Engine) brokenSource(app uint32, upstream message.NodeID) {
 	payload := protocol.BrokenSource{App: app, Upstream: upstream}.Encode()
 	e.notifyAlg(protocol.TypeBrokenSource, app, payload)
 
-	// sentApps is algorithm-shard state, like this whole cascade path.
 	var dests []message.NodeID
 	for peer, apps := range e.sentApps {
 		if _, ok := apps[app]; ok {
@@ -1305,19 +1278,12 @@ func (e *Engine) senderGone(s *sender) {
 	delete(e.senders, s.peer)
 	e.mu.Unlock()
 
-	e.shards[0].invalidateSender(s)
+	e.invalidateSender(s)
 	delete(e.sentApps, s.peer)
 	s.ring.Close()
-	e.dropQueued(s)
+	e.dropQueued(s.ring)
 	s.linkLimit.Close()
-	// Drop parked messages for the dead destination. The algorithm shard's
-	// backlog is cleaned here; the owner shard (whose cache and backlog
-	// cannot be touched from this goroutine) is signaled and drops its own
-	// parked share on the next retry round, when the sender lookup fails.
-	e.shards[0].dropParkedFor(s.peer, true)
-	if owner := e.shardFor(s.peer); owner != e.shards[0] {
-		owner.signal()
-	}
+	e.dropParkedFor(s.peer, true)
 	e.rec.Emit(trace.KindLinkDown, s.peer, 0, 0)
 	e.notifyAlg(protocol.TypeLinkDown, 0,
 		protocol.LinkEvent{Peer: s.peer, Upstream: false}.Encode())
@@ -1375,12 +1341,9 @@ func (e *Engine) CloseLink(peer message.NodeID) {
 	if s == nil {
 		return
 	}
-	e.shards[0].invalidateSender(s)
+	e.invalidateSender(s)
 	delete(e.sentApps, peer)
 	s.ring.Close() // sender goroutine flushes remaining messages and exits
 	s.linkLimit.Close()
-	e.shards[0].dropParkedFor(peer, false)
-	if owner := e.shardFor(peer); owner != e.shards[0] {
-		owner.signal()
-	}
+	e.dropParkedFor(peer, false)
 }

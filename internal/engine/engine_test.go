@@ -889,3 +889,70 @@ func containsStr(s, sub string) bool {
 		return false
 	}()
 }
+
+// linkUpGate blocks its first LinkUp notification until gate closes,
+// holding the engine goroutine so data piles up in a receiver ring.
+type linkUpGate struct {
+	recorder
+	gate    chan struct{}
+	blocked chan struct{}
+	once    sync.Once
+}
+
+func (g *linkUpGate) Process(m *message.Msg) engine.Verdict {
+	if m.Type() == protocol.TypeLinkUp {
+		g.once.Do(func() {
+			close(g.blocked)
+			<-g.gate
+		})
+	}
+	return g.recorder.Process(m)
+}
+
+// TestReconnectDrainsReplacedReceiver queues data in a receiver ring
+// while the engine goroutine is busy, then has the same peer reconnect.
+// The replaced link's ring is never switched again, so its messages must
+// be dropped and released at the replacement: otherwise they stay on the
+// buffered-bytes gauge, which must read zero once Stop has drained
+// everything.
+func TestReconnectDrainsReplacedReceiver(t *testing.T) {
+	n := vnet.New()
+	defer n.Close()
+	alg := &linkUpGate{gate: make(chan struct{}), blocked: make(chan struct{})}
+	c := startNode(t, n, nid(3), alg)
+	peer := nid(2)
+	upstreamLen := func() int {
+		for _, l := range c.Snapshot().Upstreams {
+			if l.Peer == peer {
+				return int(l.BufLen)
+			}
+		}
+		return -1
+	}
+
+	first := rawDial(t, n, "10.0.0.2:1", nid(3))
+	writeHello(t, first, peer)
+	<-alg.blocked
+	const queued = 10
+	for i := 0; i < queued; i++ {
+		m := message.New(message.FirstDataType, peer, 1, uint32(i+1), make([]byte, 512))
+		if _, err := m.WriteTo(first); err != nil {
+			t.Fatalf("write data: %v", err)
+		}
+		m.Release()
+	}
+	waitFor(t, 5*time.Second, "data queued on the first link", func() bool {
+		return upstreamLen() == queued
+	})
+
+	second := rawDial(t, n, "10.0.0.2:2", nid(3))
+	writeHello(t, second, peer)
+	waitFor(t, 5*time.Second, "the reconnect to replace the first link", func() bool {
+		return upstreamLen() == 0
+	})
+	close(alg.gate)
+	c.Stop()
+	if got := c.BufferedBytes(); got != 0 {
+		t.Fatalf("buffered-bytes gauge %d after Stop, want 0", got)
+	}
+}

@@ -10,10 +10,10 @@ import (
 	"repro/internal/vnet"
 )
 
-// TestShardLoadAggregation runs a four-shard node under real traffic and
-// checks the observer folds the per-shard occupancy sections of its
-// status reports into the cluster view: one ShardLoad per lane, work
-// recorded, and the rendered histogram block carrying the shard lines.
+// TestShardLoadAggregation runs a node under real traffic and checks the
+// observer folds the switch occupancy section of its status reports into
+// the cluster view: one ShardLoad for the engine's single switch, work
+// recorded, and the rendered histogram block carrying its line.
 func TestShardLoadAggregation(t *testing.T) {
 	n := vnet.New()
 	defer n.Close()
@@ -30,7 +30,6 @@ func TestShardLoadAggregation(t *testing.T) {
 		Algorithm:      src,
 		Observer:       obsID,
 		StatusInterval: 100 * time.Millisecond,
-		Shards:         4,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)
@@ -41,23 +40,13 @@ func TestShardLoadAggregation(t *testing.T) {
 	t.Cleanup(e.Stop)
 	e.StartSource(5, 0, 2048)
 
-	waitFor(t, 5*time.Second, "per-shard loads in the cluster view", func() bool {
+	waitFor(t, 5*time.Second, "switch load in the cluster view", func() bool {
 		loads := o.ShardLoads()
-		if len(loads) != 4 {
-			return false
-		}
-		var switched uint64
-		for _, l := range loads {
-			if l.Shard >= 4 || l.Nodes < 1 {
-				return false
-			}
-			switched += l.Switched
-		}
-		return switched > 0
+		return len(loads) == 1 && loads[0].Shard == 0 && loads[0].Nodes >= 1 && loads[0].Switched > 0
 	})
 
 	rendered := o.RenderHists()
-	for _, want := range []string{"shard 0:", "shard 3:", "switched="} {
+	for _, want := range []string{"shard 0:", "switched="} {
 		if !strings.Contains(rendered, want) {
 			t.Errorf("RenderHists missing %q:\n%s", want, rendered)
 		}

@@ -255,11 +255,11 @@ type LinkStatus struct {
 	BytesTotal int64
 }
 
-// ShardStatus describes one engine switch shard in a status report:
-// how many messages its stride scheduler has switched, how many are
-// queued in the receiver rings it owns, how many are parked awaiting a
-// sender slot, and the current/peak depth of its cross-shard handoff
-// ring.
+// ShardStatus describes an engine switch in a status report: how many
+// messages its stride scheduler has switched, how many are queued in the
+// receiver rings, and how many are parked awaiting a sender slot. The
+// index and handoff fields keep the wire format of a former multi-lane
+// switch; an engine reports one entry, index 0, with handoff fields 0.
 type ShardStatus struct {
 	Shard        uint32
 	Switched     uint64
@@ -305,7 +305,7 @@ type Report struct {
 	// the previous report: the observer appends them to its per-node
 	// series to build cross-node timelines.
 	Events []trace.Event
-	// Shards holds per-shard switch occupancy and handoff-ring depth.
+	// Shards holds the switch occupancy line (one entry per engine).
 	// The section is a trailing extension: reports from older nodes
 	// simply omit it, and the decoder tolerates its absence.
 	Shards []ShardStatus
