@@ -48,22 +48,24 @@ fuzz:
 		$(GO) test ./internal/message -run='^$$' -fuzz="^$$f$$" -fuzztime=$(FUZZTIME) || exit 1; done
 
 # The concurrency-heavy data-path packages additionally run under the race
-# detector: the batched ring handoffs, engine switch, and virtual-network
-# pipes are where a lost wakeup or torn batch would hide. The
+# detector: the batched ring handoffs, engine switch, virtual-network
+# pipes, and the message reference counts that wire images handed across
+# vnet pipes share between engines are where a lost wakeup, torn batch or
+# early release would hide. The
 # ioverlay_debug tag arms the internal/invariant runtime assertions
 # (engine-goroutine ownership, gauge non-negativity, watermark ordering)
 # so a violated invariant fails the run instead of corrupting it.
 race:
-	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet
+	$(GO) test -race -tags ioverlay_debug ./internal/queue ./internal/engine ./internal/vnet ./internal/message
 
 # stress reruns the race and invariant gates at several core counts, so a
 # single-core host cannot hide a concurrency bug: -cpu sets GOMAXPROCS for
-# each pass. With the default STRESS_COUNT=3 it took 219-225 s on a 2-core
+# each pass. With the default STRESS_COUNT=3 it took 239 s on a 2-core
 # x86-64 host (Go 1.24).
 STRESS_COUNT ?= 3
 stress:
 	$(GO) test -race -tags ioverlay_debug -cpu 1,2,4 -count=$(STRESS_COUNT) \
-		./internal/engine ./internal/vnet ./internal/queue
+		./internal/engine ./internal/vnet ./internal/queue ./internal/message
 
 # The fault-injection soaks: a seeded chaos schedule (kills, restarts,
 # partitions, flaky links) against a live 16-node multicast session,

@@ -1001,6 +1001,16 @@ func (e *Engine) Stop() {
 		e.counters.AddDropped(int64(m.WireLen()))
 		m.Release()
 	}
+	// Control messages the engine goroutine never got to die with it;
+	// every goroutine that delivers them has exited.
+	for drained := false; !drained; {
+		select {
+		case cm := <-e.control:
+			cm.m.Release()
+		default:
+			drained = true
+		}
+	}
 	if invariant.Enabled {
 		// Every gauge-tracked ring is drained and the parked backlog
 		// released: the memory budget must reconcile to exactly zero

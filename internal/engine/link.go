@@ -66,7 +66,8 @@ func newReceiver(peer message.NodeID, conn net.Conn, bufMsgs int, gauge, held *m
 // back-pressure propagates to the upstream connection unchanged.
 func (e *Engine) runReceiver(r *receiver) {
 	defer e.wg.Done()
-	shaped := bandwidth.NewReader(r.conn, e.budget.DownShaper(nil))
+	down := e.budget.DownShaper(nil)
+	shaped := bandwidth.NewReader(r.conn, down)
 	maxBatch := e.cfg.BatchSize
 	if c := r.ring.Cap(); maxBatch > c {
 		maxBatch = c
@@ -133,6 +134,11 @@ func (e *Engine) runReceiver(r *receiver) {
 		return true
 	}
 
+	fr, canFrames := r.conn.(frameReader)
+	var frames []vnet.Frame
+	if canFrames {
+		frames = make([]vnet.Frame, maxBatch)
+	}
 	seg := e.pool.GetSegment()
 	fail := func() {
 		seg.Release()
@@ -140,6 +146,26 @@ func (e *Engine) runReceiver(r *receiver) {
 	}
 	fill := 0
 	for {
+		// Wire images handed across by reference become messages that
+		// alias them, as on the datagram lane: no copy at this hop. A
+		// carried tail or an active down-shaper keeps the byte path, and
+		// so does a stream that continues with copied bytes (ReadFrames
+		// returns 0).
+		if canFrames && fill == 0 && !down.Active() {
+			n, err := fr.ReadFrames(frames)
+			if err != nil {
+				fail()
+				return
+			}
+			if n > 0 {
+				ok := e.deliverFrames(frames[:n], maxPayload, deliver)
+				if !flush() || !ok {
+					fail()
+					return
+				}
+				continue
+			}
+		}
 		n, err := shaped.Read(seg.Bytes()[fill:])
 		if err != nil {
 			fail()
@@ -217,6 +243,36 @@ func (e *Engine) runReceiver(r *receiver) {
 	}
 }
 
+// deliverFrames turns frames taken by reference into messages aliasing
+// them, each taking over its frame's reference. A frame that is not
+// exactly one wire image within maxPayload breaks the link, as an
+// oversized payload does on the byte path; it and every frame after it
+// are released. False means stand down.
+func (e *Engine) deliverFrames(frames []vnet.Frame, maxPayload int, deliver func(*message.Msg) bool) bool {
+	for i, f := range frames {
+		frames[i] = vnet.Frame{}
+		size, ok := message.PeekPayloadLen(f.Data)
+		if !ok || size > maxPayload || message.HeaderSize+size != len(f.Data) {
+			f.Owner.Release()
+			releaseFrames(frames[i+1:])
+			return false
+		}
+		if !deliver(message.FromOwned(f.Data, f.Owner)) {
+			releaseFrames(frames[i+1:])
+			return false
+		}
+	}
+	return true
+}
+
+// releaseFrames releases and clears frames a reader will not deliver.
+func releaseFrames(frames []vnet.Frame) {
+	for i := range frames {
+		frames[i].Owner.Release()
+		frames[i] = vnet.Frame{}
+	}
+}
+
 // sender owns one outgoing persistent connection: the engine switch pushes
 // message references into its circular buffer; a dedicated goroutine dials
 // the peer, then drains the buffer to the (bandwidth-shaped) socket — the
@@ -291,10 +347,29 @@ func (e *Engine) runSender(s *sender) {
 		maxBatch = c
 	}
 	batch := make([]*message.Msg, maxBatch)
+	// Vectored connections take a whole run of wire images per call: by
+	// reference when they accept frames, else copied in one operation.
+	fw, canFrames := conn.(frameWriter)
 	bw, canVec := conn.(buffersWriter)
+	canVec = canVec || canFrames
 	var vec [][]byte
-	if canVec {
+	var frames []vnet.Frame
+	if canFrames {
+		frames = make([]vnet.Frame, 0, maxBatch)
+	} else if canVec {
 		vec = make([][]byte, 0, maxBatch)
+	}
+	writeVec := func() (int64, error) {
+		if canFrames {
+			wn, err := fw.WriteFrames(frames)
+			clear(frames)
+			frames = frames[:0]
+			return wn, err
+		}
+		wn, err := bw.WriteBuffers(vec)
+		clear(vec)
+		vec = vec[:0]
+		return wn, err
 	}
 	for {
 		n, err := s.ring.PopBatch(batch)
@@ -318,7 +393,9 @@ func (e *Engine) runSender(s *sender) {
 		// turn a smooth emulated rate into large bursts downstream.
 		// Unshaped vectored connections flush the whole batch straight
 		// from the messages' contiguous wire images in a single pipe
-		// operation — no intermediate buffer, no copy; other unshaped
+		// operation — no intermediate buffer; a connection that takes
+		// frames queues each image by reference, pinned by a reference on
+		// its message, so this hop copies nothing at all. Other unshaped
 		// links buffer and flush once per drained batch.
 		shapedLink := e.senderShaped(s)
 		var sent int64
@@ -327,18 +404,23 @@ func (e *Engine) runSender(s *sender) {
 			if bufw.Buffered() > 0 { // shaped leftovers precede this batch
 				werr = bufw.Flush()
 			}
-			vec = vec[:0]
+			gathered := 0
 			for i := 0; i < n && werr == nil; i++ {
 				if w := batch[i].Wire(); w != nil {
-					vec = append(vec, w)
+					if canFrames {
+						frames = append(frames, vnet.Frame{Data: w, Owner: batch[i].Retain()})
+					} else {
+						vec = append(vec, w)
+					}
+					gathered++
 					continue
 				}
 				// Rare: no contiguous image (derived or externally built
 				// message). Preserve order: drain the gathered run first.
-				if len(vec) > 0 {
-					wn, e2 := bw.WriteBuffers(vec)
+				if gathered > 0 {
+					wn, e2 := writeVec()
 					sent += wn
-					vec, werr = vec[:0], e2
+					gathered, werr = 0, e2
 				}
 				if werr == nil {
 					wn, e2 := batch[i].WriteTo(conn)
@@ -346,10 +428,10 @@ func (e *Engine) runSender(s *sender) {
 					werr = e2
 				}
 			}
-			if werr == nil && len(vec) > 0 {
-				wn, e2 := bw.WriteBuffers(vec)
+			if werr == nil && gathered > 0 {
+				wn, e2 := writeVec()
 				sent += wn
-				vec, werr = vec[:0], e2
+				werr = e2
 			}
 			// Meter once per drained batch: at unshaped speeds per-message
 			// metering is pure overhead and the lump is far smaller than any
@@ -572,6 +654,18 @@ func (c *replayConn) Read(p []byte) (int, error) {
 // single lock acquisition.
 type buffersWriter interface {
 	WriteBuffers(bufs [][]byte) (int64, error)
+}
+
+// frameWriter and frameReader are the by-reference stream paths vnet
+// connections provide: wire images cross the virtual socket buffer
+// without being copied, each pinned by its owner until the reader
+// releases it.
+type frameWriter interface {
+	WriteFrames(frames []vnet.Frame) (int64, error)
+}
+
+type frameReader interface {
+	ReadFrames(dst []vnet.Frame) (int, error)
 }
 
 // senderShaped reports whether any emulated bandwidth cap paces this

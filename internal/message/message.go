@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/invariant"
 )
 
 // HeaderSize is the fixed size of the application-layer header in bytes:
@@ -191,6 +193,7 @@ func (m *Msg) Seq() uint32 { return m.seq.Load() }
 // all header mutations it must happen before the message is enqueued for
 // sending.
 func (m *Msg) SetSeq(seq uint32) {
+	m.assertUnshared("SetSeq")
 	m.seq.Store(seq)
 	if m.raw != nil {
 		binary.BigEndian.PutUint32(m.raw[16:20], seq)
@@ -285,12 +288,26 @@ func (m *Msg) Derive(typ Type, sender NodeID, app, seq uint32) *Msg {
 // WithSender returns a shallow header rewrite used when the engine stamps
 // the local node as the original sender of a newly constructed message.
 func (m *Msg) WithSender(id NodeID) *Msg {
+	m.assertUnshared("WithSender")
 	m.sender = id
 	if m.raw != nil {
 		binary.BigEndian.PutUint32(m.raw[4:8], id.IP)
 		binary.BigEndian.PutUint32(m.raw[8:12], id.Port)
 	}
 	return m
+}
+
+// assertUnshared checks, with assertions compiled in, that a header
+// rewrite touches a message nobody else can see: one reference, and no
+// wire image borrowed from a segment, an owner or a parent. Wire images
+// cross engines by reference, so rewriting a shared one in place would
+// change a neighbour's message under it.
+func (m *Msg) assertUnshared(op string) {
+	if invariant.Enabled {
+		invariant.Assert(m.refs.Load() == 1 && m.owner == nil && m.seg == nil && m.parent == nil,
+			"message: %s on a shared message (refs %d, owner %t, segment %t, parent %t)",
+			op, m.refs.Load(), m.owner != nil, m.seg != nil, m.parent != nil)
+	}
 }
 
 // String renders a compact human-readable description for logs and traces.

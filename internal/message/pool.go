@@ -3,6 +3,9 @@ package message
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/invariant"
 )
 
 // Pool recycles payload buffers between the receiving and sending sockets,
@@ -18,7 +21,16 @@ import (
 type Pool struct {
 	classes  [numClasses]sync.Pool
 	segments sync.Pool
+	// live counts wire buffers and segments checked out and not yet
+	// returned. It is kept only with assertions compiled in
+	// (ioverlay_debug), for leak checks through Live.
+	live atomic.Int64
 }
+
+// Live reports how many wire buffers and segments are checked out of the
+// pool and not yet returned. It counts only with assertions compiled in
+// (the ioverlay_debug build tag) and is always 0 otherwise.
+func (p *Pool) Live() int64 { return p.live.Load() }
 
 // SegmentSize is the capacity of one receive segment: sized to swallow a
 // full default vnet pipe (64 KB) in a single read.
@@ -27,6 +39,9 @@ const SegmentSize = 64 << 10
 // GetSegment checks a receive segment out of the pool, holding one owner
 // reference for the caller.
 func (p *Pool) GetSegment() *Segment {
+	if invariant.Enabled {
+		p.live.Add(1)
+	}
 	if v := p.segments.Get(); v != nil {
 		s := v.(*Segment)
 		s.refs.Store(1)
@@ -38,7 +53,12 @@ func (p *Pool) GetSegment() *Segment {
 }
 
 // putSegment returns a fully released segment to the pool.
-func (p *Pool) putSegment(s *Segment) { p.segments.Put(s) }
+func (p *Pool) putSegment(s *Segment) {
+	if invariant.Enabled {
+		p.live.Add(-1)
+	}
+	p.segments.Put(s)
+}
 
 const (
 	minClassBits = 6  // smallest class: 64 B
@@ -80,6 +100,9 @@ func classSize(c int) int {
 // followed by an n-byte payload region — recycled when possible. Buffers
 // are classed by their total (header-inclusive) size.
 func (p *Pool) getRaw(n int) []byte {
+	if invariant.Enabled {
+		p.live.Add(1)
+	}
 	total := HeaderSize + n
 	c := classFor(total)
 	if c < 0 {
@@ -95,6 +118,9 @@ func (p *Pool) getRaw(n int) []byte {
 // putBuf returns a buffer to the pool. Buffers whose capacity does not
 // match a size class exactly are dropped for the garbage collector.
 func (p *Pool) putBuf(buf []byte) {
+	if invariant.Enabled {
+		p.live.Add(-1)
+	}
 	c := classFor(cap(buf))
 	if c < 0 || cap(buf) != classSize(c) {
 		return

@@ -414,6 +414,22 @@ func (c *Conn) Write(b []byte) (int, error) { return c.wr.Write(b) }
 // blocks under back-pressure exactly like sequential Writes.
 func (c *Conn) WriteBuffers(bufs [][]byte) (int64, error) { return c.wr.writeBuffers(bufs) }
 
+// WriteFrames queues each frame's wire image by reference instead of
+// copying it, blocking under back-pressure at the same byte count as
+// WriteBuffers. It takes over one reference per frame whatever it
+// returns: the peer's ReadFrames hands it on, and a read by copy, a Flaky
+// drop, a break, or a failed write releases it. Nothing may write to a
+// frame's bytes while it is queued.
+func (c *Conn) WriteFrames(frames []Frame) (int64, error) { return c.wr.writeFrames(frames) }
+
+// ReadFrames takes the whole frames at the head of the inbound stream by
+// reference, up to len(dst), blocking like Read until something is
+// readable; the caller releases each returned frame's Owner. It returns 0
+// and no error when the stream continues with bytes that are not a whole
+// frame (copied writes, or a frame already partly read), which the caller
+// then takes with Read.
+func (c *Conn) ReadFrames(dst []Frame) (int, error) { return c.rd.readFrames(dst) }
+
 // Close gracefully closes the connection: the peer drains buffered bytes
 // and then observes EOF, like a TCP FIN.
 func (c *Conn) Close() error {

@@ -11,7 +11,7 @@ import (
 	"time"
 )
 
-func pair(t *testing.T, n *Network, address string) (client, server net.Conn) {
+func pair(t testing.TB, n *Network, address string) (client, server net.Conn) {
 	t.Helper()
 	l, err := n.Listen(address)
 	if err != nil {
